@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 __all__ = [
     "Asn1Error",
@@ -115,18 +116,25 @@ def encode_null() -> bytes:
     return encode_tlv(Tag.NULL, b"")
 
 
+@lru_cache(maxsize=1024)
 def encode_oid(dotted: str) -> bytes:
-    """Encode a dotted-decimal OBJECT IDENTIFIER string."""
+    """Encode a dotted-decimal OBJECT IDENTIFIER string.
+
+    Memoised: a study encodes the same handful of OIDs (algorithms,
+    extensions, policies) hundreds of thousands of times.  Invalid OIDs
+    are not cached; each call raises :class:`Asn1Error` again.
+    """
     try:
         arcs = [int(part) for part in dotted.split(".")]
     except ValueError as exc:
         raise Asn1Error(f"invalid OID {dotted!r}") from exc
     if len(arcs) < 2 or arcs[0] > 2 or (arcs[0] < 2 and arcs[1] > 39):
         raise Asn1Error(f"invalid OID {dotted!r}")
-    body = bytearray([arcs[0] * 40 + arcs[1]])
-    for arc in arcs[2:]:
-        if arc < 0:
-            raise Asn1Error(f"negative arc in OID {dotted!r}")
+    if min(arcs) < 0:
+        raise Asn1Error(f"negative arc in OID {dotted!r}")
+    body = bytearray()
+    # X.690 8.19.4: the first two arcs share one base-128 subidentifier.
+    for arc in (arcs[0] * 40 + arcs[1], *arcs[2:]):
         chunk = bytearray([arc & 0x7F])
         arc >>= 7
         while arc:
@@ -287,18 +295,20 @@ class DecodedValue:
     def as_oid(self) -> str:
         if self.tag != Tag.OID or not self.value:
             raise Asn1Error("not an OID")
-        arcs = [self.value[0] // 40, self.value[0] % 40]
-        # First octet packs the first two arcs; values >= 80 mean arc0 == 2.
-        if arcs[0] > 2:
-            arcs = [2, self.value[0] - 80]
+        if self.value[-1] & 0x80:
+            raise Asn1Error("truncated OID arc")
+        subidentifiers = []
         current = 0
-        for byte in self.value[1:]:
+        for byte in self.value:
             current = (current << 7) | (byte & 0x7F)
             if not byte & 0x80:
-                arcs.append(current)
+                subidentifiers.append(current)
                 current = 0
-        if current:
-            raise Asn1Error("truncated OID arc")
+        # The first subidentifier packs the first two arcs; values >= 80
+        # mean arc0 == 2 (X.690 8.19.4).
+        first = subidentifiers[0]
+        arc0 = min(first // 40, 2)
+        arcs = [arc0, first - 40 * arc0, *subidentifiers[1:]]
         return ".".join(str(a) for a in arcs)
 
     def as_string(self) -> str:

@@ -46,6 +46,15 @@ class TestPki:
     ``protocols`` is the chain-wide pointer set (§6.1: "for each chain,
     all certificates contain either CRL distribution points or OCSP
     responders", or both): a subset of {"crl", "ocsp"}.
+
+    Once the scenario controls (:meth:`revoke`, :meth:`make_unavailable`,
+    :meth:`set_staple`) have run, one PKI can serve many clients, and
+    each sees the same PKI: the CRL endpoints serve CRL number 1
+    (re-encoded per download, so a revocation made between two downloads
+    shows), and each :meth:`checker` has its own fetcher and client
+    cache.  Only traffic counters (``network.total_bytes``,
+    ``tls_server.handshakes_served``, the responders' ``queries_served``)
+    add up across clients.
     """
 
     __test__ = False  # "Test" prefix is domain naming, not a pytest class
@@ -112,7 +121,7 @@ class TestPki:
         ]
         self.trusted_roots = frozenset({root.certificate.fingerprint})
         self._staple: OcspResponse | None = None
-        self.tls_server: TlsServer | None = None
+        self.tls_server = TlsServer(chain=self.chain, stapling_enabled=False)
 
     # -- construction helpers ---------------------------------------------
 
@@ -132,7 +141,7 @@ class TestPki:
                     url,
                     CrlEndpoint(
                         lambda at, publisher=publisher, url=url: publisher.encode(
-                            url, at
+                            url, at, crl_number=1
                         ).to_der()
                     ),
                 )
@@ -219,15 +228,13 @@ class TestPki:
 
     def handshake(self, status_request: bool):
         """Serve the connection; returns (chain, staple or None)."""
-        if self.tls_server is None:
-            self.tls_server = TlsServer(chain=self.chain, stapling_enabled=False)
         result = self.tls_server.handshake(self.now, status_request=status_request)
         return result.chain, result.staple
 
     def checker(self) -> RevocationChecker:
+        """A fresh client: its own fetcher and cold client cache.  The
+        fetcher's counters are the connection's network trace (§6.2)."""
         fetcher = NetworkFetcher(
             self.network, clock_now=lambda: self.now, cache=ClientCache()
         )
-        #: kept for trace capture (§6.2: "we also capture network traces").
-        self.last_fetcher = fetcher
         return RevocationChecker(fetcher)

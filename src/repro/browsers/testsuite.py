@@ -218,18 +218,32 @@ class TestOutcome:
 
 @dataclass
 class BrowserTestHarness:
-    """Builds each case's PKI and runs browser models against it."""
+    """Runs browser models against the suite's test PKIs.
+
+    A case's PKI does not depend on the browser, so the harness builds it
+    once per ``case.test_id`` (in ``_pki_cache``) and every browser
+    connects to that one PKI.  Caching is still defeated where the paper
+    cared (§6.1): each :meth:`run_case` connects through a fresh
+    :meth:`TestPki.checker` -- its own fetcher and cold client cache --
+    and a built PKI holds nothing a client can change, so no browser sees
+    another's cached state.  The cache is keyed on the case alone; the
+    harness's ``now`` is fixed for its lifetime.
+    """
 
     now: datetime.datetime = datetime.datetime(
         2015, 3, 31, 12, 0, tzinfo=datetime.timezone.utc
     )
-    _pki_cache: dict = field(default_factory=dict)
+    _pki_cache: dict[str, TestPki] = field(default_factory=dict)
 
     def build_pki(self, case: TestCase, browser: BrowserModel) -> TestPki:
-        """A fresh PKI per (case, browser) -- the paper regenerates
-        certificates per test to defeat caching effects."""
+        """Build ``case``'s PKI afresh.
+
+        Its names and key seeds derive from ``case.test_id`` only, so two
+        builds of a case are byte-identical.  ``browser`` is not used; the
+        parameter keeps the hook's signature for subclasses that wrap it.
+        """
         pki = TestPki(
-            test_id=f"{case.test_id}-{id(browser) % 10_000}",
+            test_id=case.test_id,
             n_intermediates=case.n_intermediates,
             protocols=case.protocols,
             ev=case.ev,
@@ -254,19 +268,17 @@ class BrowserTestHarness:
         return pki
 
     def run_case(self, browser: BrowserModel, case: TestCase) -> TestOutcome:
-        pki = self.build_pki(case, browser)
+        pki = self._pki_cache.get(case.test_id)
+        if pki is None:
+            pki = self._pki_cache[case.test_id] = self.build_pki(case, browser)
         chain, staple = pki.handshake(status_request=browser.requests_staple())
-        ctx = ChainContext(
-            chain=chain,
-            staple=staple,
-            checker=pki.checker(),
-            at=self.now,
-        )
+        checker = pki.checker()
+        ctx = ChainContext(chain=chain, staple=staple, checker=checker, at=self.now)
         result: ValidationResult = browser.validate(ctx)
         checked_unknown = any(
             record.outcome.value == "unknown" for record in result.checks
         )
-        fetcher = getattr(pki, "last_fetcher", None)
+        fetcher = checker.fetcher
         return TestOutcome(
             case=case,
             browser_label=browser.label,
@@ -276,8 +288,8 @@ class BrowserTestHarness:
             staple_used=result.staple_used,
             performed_any_check=result.performed_any_check,
             checked_unknown=checked_unknown,
-            bytes_downloaded=fetcher.bytes_downloaded if fetcher else 0,
-            revocation_fetches=fetcher.fetches if fetcher else 0,
+            bytes_downloaded=fetcher.bytes_downloaded,
+            revocation_fetches=fetcher.fetches,
         )
 
     def run_suite(

@@ -138,19 +138,27 @@ class CrlPublisher:
         this_update = midnight + steps * period
         return this_update, this_update + period
 
-    def encode(self, url: str, at: datetime.datetime) -> CertificateRevocationList:
+    def encode(
+        self, url: str, at: datetime.datetime, crl_number: int | None = None
+    ) -> CertificateRevocationList:
         """Produce the real signed CRL a client downloading ``url`` at
-        ``at`` would receive."""
+        ``at`` would receive.
+
+        Each call takes the next CRL number of ``url``'s sequence, unless
+        ``crl_number`` pins it; a pinned encode leaves the sequence as is.
+        """
         shard = self._shard_by_url[url]
         this_update, next_update = self.window(at)
-        self._crl_numbers[url] += 1
+        if crl_number is None:
+            self._crl_numbers[url] += 1
+            crl_number = self._crl_numbers[url]
         return CertificateRevocationList.build(
             issuer=self.issuer_name,
             issuer_keys=self._keys,
             entries=shard.entries_at(at),
             this_update=this_update,
             next_update=next_update,
-            crl_number=self._crl_numbers[url],
+            crl_number=crl_number,
             url=url,
         )
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.asn1 import der
 from repro.asn1.oid import OID
@@ -83,12 +84,22 @@ class TbsCertificate:
 
 @dataclass(frozen=True)
 class Certificate:
-    """A signed certificate plus convenience accessors used by analyses."""
+    """A signed certificate plus convenience accessors used by analyses.
+
+    The DER encoding and the accessors derived from it (``fingerprint``,
+    ``is_ev``, ``crl_urls``, ``ocsp_urls``) are computed on first use and
+    kept on the instance.  The fields are frozen, so the cache cannot go
+    stale; ``dataclasses.replace`` builds a new instance with an empty one.
+    """
 
     tbs: TbsCertificate
     signature: bytes
 
     def to_der(self) -> bytes:
+        return self._der
+
+    @cached_property
+    def _der(self) -> bytes:
         algorithm = der.encode_sequence(
             der.encode_oid(self.tbs.signature_algorithm_oid), der.encode_null()
         )
@@ -173,7 +184,7 @@ class Certificate:
     def public_key(self) -> bytes:
         return self.tbs.public_key
 
-    @property
+    @cached_property
     def fingerprint(self) -> bytes:
         """SHA-256 over the DER encoding; the unique certificate identity."""
         return hashlib.sha256(self.to_der()).digest()
@@ -227,16 +238,16 @@ class Certificate:
             return CertificatePolicies()
         return CertificatePolicies.from_extension(ext)
 
-    @property
+    @cached_property
     def is_ev(self) -> bool:
         return self.certificate_policies.is_ev
 
-    @property
+    @cached_property
     def crl_urls(self) -> tuple[str, ...]:
         """Potentially reachable (http[s]) CRL distribution points."""
         return self.crl_distribution_points.reachable_urls
 
-    @property
+    @cached_property
     def ocsp_urls(self) -> tuple[str, ...]:
         """Potentially reachable OCSP responder URLs."""
         return self.authority_info_access.reachable_ocsp_urls

@@ -155,6 +155,12 @@ class RevocationChecker:
     def __init__(self, fetcher: RevocationFetcher) -> None:
         self._fetcher = fetcher
 
+    @property
+    def fetcher(self) -> RevocationFetcher:
+        """The fetcher every check goes through (and whose counters a
+        caller reads back as the connection's network trace)."""
+        return self._fetcher
+
     # -- fetch adapters ----------------------------------------------------
 
     def _fetch_crl(self, url: str):

@@ -76,6 +76,19 @@ class TestOid:
         dotted = "2.16.840.1.113733.1.7.23.6"  # Verisign EV policy
         assert der.decode_all(der.encode_oid(dotted)).as_oid() == dotted
 
+    def test_large_first_subidentifier(self):
+        # X.690 8.19.5's example: 2.999.3 packs 2.999 into 0x88 0x37.
+        assert der.encode_oid("2.999.3") == b"\x06\x03\x88\x37\x03"
+        assert der.decode_all(b"\x06\x03\x88\x37\x03").as_oid() == "2.999.3"
+
+    def test_negative_second_arc_rejected(self):
+        with pytest.raises(der.Asn1Error):
+            der.encode_oid("1.-5")
+
+    def test_truncated_arc_rejected(self):
+        with pytest.raises(der.Asn1Error):
+            der.decode_all(b"\x06\x02\x2a\x80").as_oid()
+
     def test_invalid_oid_rejected(self):
         with pytest.raises(der.Asn1Error):
             der.encode_oid("5.1.2")
