@@ -28,7 +28,8 @@ __all__ = ["FileContext", "Rule", "analyze_source", "analyze_file"]
 #: "3": RPR003 rewritten on the dataflow substrate, RPR013/RPR014
 #: added, findings carry autofix suggestions.
 #: "4": RPR015 (mechanism construction goes through the registry).
-ENGINE_VERSION = "5"
+#: "6": the flat-facade-alias rule retired with the aliases it guarded.
+ENGINE_VERSION = "6"
 
 _NOQA = re.compile(r"#\s*repro:\s*noqa(?:\s+(?P<rules>[A-Z0-9, ]+))?")
 

@@ -1,4 +1,4 @@
-"""The repo-specific rule catalogue (RPR001..RPR016).
+"""The repo-specific rule catalogue (RPR001..RPR015).
 
 Each rule enforces one invariant the reproduction's determinism or PKI
 correctness depends on; docs/STATIC_ANALYSIS.md ties every rule back to
@@ -792,84 +792,6 @@ class MechanismConstructionRule(Rule):
         )
 
 
-# --------------------------------------------------------------------------
-# RPR016 -- no deprecated flat facade aliases in-repo
-# --------------------------------------------------------------------------
-
-_API_HOME = "repro/api.py"
-#: the pre-2.0 flat names of ``repro.api``, kept as deprecated aliases
-#: for external callers only.  Must equal
-#: ``repro.api.DEPRECATED_ALIASES.keys()`` -- a meta-test in
-#: ``tests/analysis/test_fixtures.py`` pins the two together, so adding
-#: or retiring an alias updates both or fails CI.
-FLAT_API_ALIASES = frozenset(
-    {
-        "StudyRun",
-        "TraceDiff",
-        "build_corpus",
-        "corpus_info",
-        "crawl_figures_legs",
-        "diff_traces",
-        "golden_digests",
-        "list_corpora",
-        "list_experiments",
-        "list_mechanisms",
-        "load_trace",
-        "mechanism_digests",
-        "new_study",
-        "render_diff",
-        "render_report",
-        "render_trace",
-        "run_analysis",
-        "run_experiments",
-        "run_one",
-        "run_study",
-        "verify_corpus",
-    }
-)
-
-
-class FacadeAliasRule(Rule):
-    code = "RPR016"
-    name = "no-flat-facade-alias"
-    summary = (
-        "in-repo code must use the namespaced repro.api facade "
-        "(api.study.*, api.corpus.*, ...); the flat 1.x names are "
-        "deprecated aliases reserved for external callers"
-    )
-    node_types = (ast.ImportFrom, ast.Attribute)
-
-    def check(self, node: ast.AST, ctx: FileContext) -> None:
-        if ctx.rel_path.endswith(_API_HOME):
-            return
-        if isinstance(node, ast.ImportFrom):
-            if node.module != "repro.api":
-                return
-            for alias in node.names:
-                if alias.name in FLAT_API_ALIASES:
-                    ctx.report(
-                        node,
-                        self.code,
-                        f"from repro.api import {alias.name} is a "
-                        "deprecated 1.x flat alias; import the facade "
-                        "and use its namespaced home "
-                        "(repro.api.DEPRECATED_ALIASES maps old to new)",
-                    )
-            return
-        resolved = ctx.imports.resolve(node)
-        if resolved is None or not resolved.startswith("repro.api."):
-            return
-        name = resolved[len("repro.api."):]
-        if name in FLAT_API_ALIASES:
-            ctx.report(
-                node,
-                self.code,
-                f"api.{name} is a deprecated 1.x flat alias; use its "
-                "namespaced home (repro.api.DEPRECATED_ALIASES maps "
-                "old to new)",
-            )
-
-
 ALL_RULES: tuple[type[Rule], ...] = (
     WallClockRule,
     AmbientRandomnessRule,
@@ -886,7 +808,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     NondeterministicDigestInputRule,
     StatsExportRule,
     MechanismConstructionRule,
-    FacadeAliasRule,
 )
 
 

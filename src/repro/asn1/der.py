@@ -319,20 +319,39 @@ class DecodedValue:
         raise Asn1Error(f"tag 0x{self.tag:02x} is not a string type")
 
     def as_datetime(self) -> datetime.datetime:
-        text = self.value.decode("ascii")
+        """Decode a UTCTime (``YYMMDDHHMMSSZ``) or GeneralizedTime
+        (``YYYYMMDDHHMMSSZ``), the fixed forms DER allows (X.690 11.7/11.8)."""
         if self.tag == Tag.UTC_TIME:
-            # RFC 5280 4.1.2.5.1: two-digit years 00-49 are 20xx and
-            # 50-99 are 19xx (Python's %y pivots at 69 instead).
-            two_digit = int(text[:2])
-            century = 2000 if two_digit < 50 else 1900
-            parsed = datetime.datetime.strptime(
-                f"{century + two_digit:04d}{text[2:]}", "%Y%m%d%H%M%SZ"
-            )
+            year_digits = 2
         elif self.tag == Tag.GENERALIZED_TIME:
-            parsed = datetime.datetime.strptime(text, "%Y%m%d%H%M%SZ")
+            year_digits = 4
         else:
             raise Asn1Error(f"tag 0x{self.tag:02x} is not a time type")
-        return parsed.replace(tzinfo=datetime.timezone.utc)
+        text = self.value
+        if (
+            len(text) != year_digits + 11
+            or text[-1:] != b"Z"
+            or not text[:-1].isdigit()
+        ):
+            raise Asn1Error(f"malformed time {text!r}")
+        year = int(text[:year_digits])
+        if year_digits == 2:
+            # RFC 5280 4.1.2.5.1: two-digit years 00-49 are 20xx and
+            # 50-99 are 19xx.
+            year += 2000 if year < 50 else 1900
+        rest = text[year_digits:]
+        try:
+            return datetime.datetime(
+                year,
+                int(rest[0:2]),
+                int(rest[2:4]),
+                int(rest[4:6]),
+                int(rest[6:8]),
+                int(rest[8:10]),
+                tzinfo=datetime.timezone.utc,
+            )
+        except ValueError as exc:  # month 13, 31 February, hour 24, ...
+            raise Asn1Error(f"time out of range {text!r}: {exc}") from exc
 
     def as_bit_string(self) -> bytes:
         if self.tag != Tag.BIT_STRING or not self.value:

@@ -1,19 +1,28 @@
-"""OneCRL as a pluggable mechanism (paper §7 footnote 24).
+"""OneCRL: Mozilla's pushed revocation list for intermediates.
 
-Mozilla's pushed, *complete* list of revoked intermediates: a few dozen
-32-byte entries that each block an entire issuance subtree.  Building
-the list and measuring blast radius stays in
-:mod:`repro.extensions.onecrl`; the mechanism wraps it so the sweeps can
-hold its tiny payload against its deliberately narrow scope -- leaf
-revocations are invisible to it, and ``lookup`` says so (``NO_INFO``)
-instead of vouching ``GOOD`` for a revoked leaf.
+Paper §7 footnote 24: "In contrast to CRLSets, OneCRL is for intermediate
+certificates.  As of this writing, there are only 8 revoked certificates
+on the list."  Revoking an intermediate is the catastrophic case -- a
+compromised CA key signs valid certificates for *any* domain (§3.2) --
+and intermediates are few, so a complete pushed list is a few dozen
+32-byte entries that each block an entire issuance subtree.
+
+:class:`OneCrl` is that list; :func:`build_onecrl` derives it from an
+ecosystem's intermediate records; :func:`blast_radius` counts how many
+leaf certificates one compromised intermediate endangers -- the reason a
+complete intermediate list matters far more per byte than a CRLSet.
+:class:`OneCrlMechanism` wraps the list so the sweeps can hold its tiny
+payload against its deliberately narrow scope -- leaf revocations are
+invisible to it, and ``lookup`` says so (``NO_INFO``) instead of
+vouching ``GOOD`` for a revoked leaf.
 """
 
 from __future__ import annotations
 
 import datetime
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.extensions.onecrl import build_onecrl
 from repro.mechanisms.base import (
     CheckCost,
     Delivery,
@@ -26,6 +35,53 @@ from repro.mechanisms.base import (
 from repro.mechanisms.registry import register
 from repro.revocation.checker import CheckOutcome
 from repro.scan.records import IntermediateRecord, LeafRecord
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.scan.ecosystem import Ecosystem
+
+__all__ = ["OneCrl", "OneCrlMechanism", "blast_radius", "build_onecrl"]
+
+
+@dataclass(frozen=True)
+class OneCrl:
+    """A complete pushed list of revoked intermediates."""
+
+    date: datetime.date
+    #: SPKI hashes of revoked intermediate certificates.
+    revoked_spkis: frozenset[bytes] = field(default_factory=frozenset)
+
+    def is_revoked(self, spki_hash: bytes) -> bool:
+        return spki_hash in self.revoked_spkis
+
+    def blocks_chain(self, intermediate_spkis: list[bytes]) -> bool:
+        return any(spki in self.revoked_spkis for spki in intermediate_spkis)
+
+    @property
+    def size_bytes(self) -> int:
+        """32 bytes per entry plus a small header -- OneCRL stays tiny
+        because the intermediate population is tiny."""
+        return 16 + 32 * len(self.revoked_spkis)
+
+    def __len__(self) -> int:
+        return len(self.revoked_spkis)
+
+
+def build_onecrl(ecosystem: Ecosystem, at: datetime.date) -> OneCrl:
+    """Assemble the OneCRL from intermediates revoked by ``at``."""
+    revoked = frozenset(
+        record.spki_hash
+        for record in ecosystem.intermediates
+        if record.revoked_at is not None and record.revoked_at <= at
+    )
+    return OneCrl(date=at, revoked_spkis=revoked)
+
+
+def blast_radius(ecosystem: Ecosystem, intermediate_id: int) -> int:
+    """Leaf certificates issued under one intermediate: everything a
+    compromise of that single CA key endangers."""
+    return sum(
+        1 for leaf in ecosystem.leaves if leaf.intermediate_id == intermediate_id
+    )
 
 
 @register

@@ -11,6 +11,7 @@ from __future__ import annotations
 import datetime
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.asn1 import der
 from repro.pki.keys import KeyPair, SignatureBackend, default_backend
@@ -70,7 +71,13 @@ class OcspRequest:
 
 @dataclass(frozen=True)
 class OcspResponse:
-    """A signed single-certificate OCSP response."""
+    """A signed single-certificate OCSP response.
+
+    The DER encoding is computed on first use and kept on the instance
+    (the fields are frozen, so it cannot go stale); a response decoded by
+    :meth:`from_der` keeps the bytes it was decoded from, so sizing a
+    fetched response never re-encodes it.
+    """
 
     response_status: OcspResponseStatus
     cert_status: CertStatus
@@ -113,13 +120,17 @@ class OcspResponse:
         return der.encode_sequence(*parts)
 
     def to_der(self) -> bytes:
+        return self._der
+
+    @cached_property
+    def _der(self) -> bytes:
         return der.encode_sequence(
             self._tbs_der(), der.encode_bit_string(self.signature)
         )
 
     @property
     def encoded_size(self) -> int:
-        return len(self.to_der())
+        return len(self._der)
 
     def verify_signature(
         self, responder_public_key: bytes, backend: SignatureBackend | None = None
@@ -197,7 +208,7 @@ class OcspResponse:
             index += 1
         if index < len(children) and children[index].tag == der.Tag.ENUMERATED:
             revocation_reason = ReasonCode(children[index].as_integer())
-        return cls(
+        response = cls(
             response_status=response_status,
             cert_status=cert_status,
             issuer_key_hash=issuer_key_hash,
@@ -208,6 +219,8 @@ class OcspResponse:
             revocation_reason=revocation_reason,
             signature=signature_node.as_bit_string(),
         )
+        response.__dict__["_der"] = bytes(data)
+        return response
 
     @classmethod
     def error(cls, status: OcspResponseStatus) -> "OcspResponse":

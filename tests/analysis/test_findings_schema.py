@@ -37,7 +37,7 @@ GOLDEN = {
         "findings": 1,
         "new": 1,
     },
-    "engine_version": "5",
+    "engine_version": "6",
     "findings": [
         {
             "col": 27,

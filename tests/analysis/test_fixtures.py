@@ -8,6 +8,7 @@ catalogue never drifts toward false positives either.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from repro.analysis.engine import analyze_source
 from repro.analysis.findings import Finding
 from repro.analysis.project import build_project_context
-from repro.analysis.rules import ALL_RULES, default_rules
+from repro.analysis.rules import ALL_RULES, default_rules, rules_catalogue
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RULE_CODES = [cls.code for cls in ALL_RULES]
@@ -79,11 +80,12 @@ def test_rule_codes_are_unique_and_sequential():
     assert RULE_CODES == sorted(RULE_CODES)
 
 
-def test_rpr016_alias_set_matches_the_facade():
-    """RPR016's hard-coded alias set and the facade's live alias table
-    move together: retiring or adding a flat alias updates both or
-    fails here."""
-    from repro.analysis.rules import FLAT_API_ALIASES
-    from repro.api import DEPRECATED_ALIASES
 
-    assert FLAT_API_ALIASES == frozenset(DEPRECATED_ALIASES)
+def test_docs_rule_table_matches_the_catalogue():
+    """docs/STATIC_ANALYSIS.md's rule table lists every shipped rule and
+    nothing else (RPR000, the engine's parse-failure code, aside)."""
+    doc = Path(__file__).resolve().parents[2] / "docs" / "STATIC_ANALYSIS.md"
+    rows = re.findall(r"^\| (RPR\d{3}) \| ([\w-]+) \|", doc.read_text(), re.MULTILINE)
+    documented = {code: name for code, name in rows if code != "RPR000"}
+    assert len(documented) == len(rows) - 1
+    assert documented == {entry["code"]: entry["name"] for entry in rules_catalogue()}

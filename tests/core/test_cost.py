@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.cost import OCSP_RESPONSE_BYTES, SessionCostModel
+from repro.mechanisms import create
 from repro.net.transport import LinkProfile
 
 
@@ -15,7 +16,8 @@ def model(ecosystem):
 
 @pytest.fixture(scope="module")
 def comparison(model):
-    return model.compare_modes(site_count=150)
+    mechanisms = [create(name, model) for name in ("crl", "ocsp", "ocsp-stapling")]
+    return model.compare_mechanisms(mechanisms, site_count=150)
 
 
 class TestSessionCost:
@@ -26,7 +28,7 @@ class TestSessionCost:
         ].bytes_downloaded
         assert (
             comparison["ocsp"].bytes_downloaded
-            >= comparison["staple"].bytes_downloaded
+            >= comparison["ocsp-stapling"].bytes_downloaded
         )
         assert comparison["none"].bytes_downloaded == 0
 
@@ -42,7 +44,7 @@ class TestSessionCost:
     def test_caching_helps_repeat_visits(self, model):
         sites = model.sample_sites(40)
         doubled = sites + sites
-        cost = model.session(doubled, "ocsp")
+        cost = model.session_for(doubled, create("ocsp", model))
         assert cost.cache_hits >= len(sites)
 
     def test_per_site_metrics(self, comparison):
@@ -50,15 +52,11 @@ class TestSessionCost:
         assert crl.bytes_per_site > 0
         assert crl.latency_per_site_ms > 0
 
-    def test_unknown_mode_rejected(self, model):
-        with pytest.raises(ValueError):
-            model.session([], "pigeon")
-
     def test_mobile_profile_latency_higher(self, ecosystem):
         broadband = SessionCostModel(ecosystem, LinkProfile(), seed=9)
         mobile = SessionCostModel(ecosystem, LinkProfile.mobile(), seed=9)
         sites_b = broadband.sample_sites(60)
         sites_m = mobile.sample_sites(60)
-        cost_b = broadband.session(sites_b, "ocsp")
-        cost_m = mobile.session(sites_m, "ocsp")
+        cost_b = broadband.session_for(sites_b, create("ocsp", broadband))
+        cost_m = mobile.session_for(sites_m, create("ocsp", mobile))
         assert cost_m.latency_per_site_ms > 2 * cost_b.latency_per_site_ms

@@ -7,7 +7,7 @@ import datetime
 import pytest
 
 from repro.browsers.certgen import TestPki
-from repro.extensions.multistaple import (
+from repro.mechanisms.stapling import (
     MultiStapleServer,
     chain_check_cost,
 )

@@ -6,8 +6,8 @@ import datetime
 
 import pytest
 
-from repro.extensions.onecrl import OneCrl, blast_radius, build_onecrl
-from repro.extensions.shortlived import (
+from repro.mechanisms.onecrl import OneCrl, blast_radius, build_onecrl
+from repro.mechanisms.shortlived import (
     RevocationRegime,
     attack_window_study,
 )

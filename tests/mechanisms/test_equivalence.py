@@ -1,7 +1,7 @@
 """Before/after equivalence for the staleness-math hoist.
 
-``repro.extensions.shortlived`` (and the OneCRL scope override) used to
-carry private copies of the staleness/residual/clamp arithmetic; the
+The short-lived attack-window study (and the OneCRL scope override) used
+to carry private copies of the staleness/residual/clamp arithmetic; the
 shared helpers now live in ``repro.mechanisms.base``.  The digest below
 was computed from the *pre-hoist* implementation (elementwise equality
 old-vs-new was verified over all 844 revoked samples in all three
@@ -18,12 +18,12 @@ import json
 
 import pytest
 
-from repro.extensions.shortlived import RevocationRegime, attack_window_study
 from repro.mechanisms.base import (
     attack_window_days,
     residual_life_days,
     staleness_window_days,
 )
+from repro.mechanisms.shortlived import RevocationRegime, attack_window_study
 
 #: sha256 over {regime.name: [float(window), ...]} (sort_keys json) of
 #: attack_window_study's defaults at scale 0.002 / seed 20151028 --

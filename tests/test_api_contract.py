@@ -1,10 +1,10 @@
 """Facade contract: the exported surface of ``repro.api`` is pinned.
 
-API 2.0 restructures the facade into namespaced sub-facades
+API 2.0 restructured the facade into namespaced sub-facades
 (``api.study``, ``api.corpus``, ``api.trace``, ``api.analysis``,
-``api.serve``); every pre-2.0 flat name survives as a deprecated alias
-resolved lazily by the module ``__getattr__`` (PEP 562), returning the
-*identical* object with a ``DeprecationWarning``.
+``api.serve``) and kept every pre-2.0 flat name as a deprecated alias;
+API 3.0 removed those aliases.  Each former flat name now raises
+``AttributeError``, usually with its namespaced home as the suggestion.
 
 Anything pinned here is a compatibility promise: removing or renaming an
 entry is a breaking change (major bump of ``API_VERSION``), adding one
@@ -15,17 +15,19 @@ pinned lists here in the same commit.
 
 from __future__ import annotations
 
+import ast
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
 from repro import api
 
-PINNED_VERSION = "2.0"
+PINNED_VERSION = "3.0"
 
 PINNED_ALL = [
     "API_VERSION",
-    "DEPRECATED_ALIASES",
     "analysis",
     "corpus",
     "serve",
@@ -59,9 +61,8 @@ PINNED_FACETS = {
     ],
 }
 
-#: every 1.x flat name -> its namespaced home.  The alias table in
-#: ``repro.api`` must match exactly: dropping an alias is a breaking
-#: change, and a new namespaced member never gets a *new* flat alias.
+#: every 1.x flat name API 2.0 deprecated and 3.0 removed -> its
+#: namespaced home.  None of them may come back as a flat attribute.
 PINNED_ALIASES = {
     "StudyRun": ("study", "StudyRun"),
     "TraceDiff": ("trace", "TraceDiff"),
@@ -85,6 +86,28 @@ PINNED_ALIASES = {
     "run_study": ("study", "run_study"),
     "verify_corpus": ("corpus", "verify"),
 }
+
+#: former flat names whose ``AttributeError`` suggests their exact home
+#: (difflib at the facade's cutoff; the other six are too far from it).
+SUGGESTS_HOME = [
+    "StudyRun",
+    "TraceDiff",
+    "corpus_info",
+    "crawl_figures_legs",
+    "golden_digests",
+    "list_experiments",
+    "list_mechanisms",
+    "mechanism_digests",
+    "new_study",
+    "render_diff",
+    "render_report",
+    "run_analysis",
+    "run_experiments",
+    "run_one",
+    "run_study",
+]
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PINNED_COMPONENTS = [
     "AndroidBrowser",
@@ -172,28 +195,31 @@ class TestNamespacedSurface:
 
 
 class TestDeprecatedAliases:
+    """The 1.x flat names are gone from the 3.0 facade."""
+
     def test_alias_table_is_pinned(self):
-        assert api.DEPRECATED_ALIASES == PINNED_ALIASES
+        assert len(PINNED_ALIASES) == 21
+        surface = set(dir(api)) | set(api.__all__)
+        assert not surface & set(PINNED_ALIASES)
 
     def test_every_alias_targets_a_pinned_member(self):
         for facet, attribute in PINNED_ALIASES.values():
             assert attribute in PINNED_FACETS[facet], (facet, attribute)
 
     @pytest.mark.parametrize("alias", sorted(PINNED_ALIASES))
-    def test_alias_warns_and_resolves_to_the_same_object(self, alias):
-        facet, attribute = PINNED_ALIASES[alias]
-        with pytest.warns(DeprecationWarning, match=f"repro.api.{alias} "):
-            flat = getattr(api, alias)
-        assert flat is getattr(getattr(api, facet), attribute)
+    def test_former_alias_raises(self, alias):
+        with pytest.raises(AttributeError, match=f"has no attribute '{alias}'"):
+            getattr(api, alias)
 
-    def test_warning_names_the_namespaced_home(self):
-        with pytest.warns(DeprecationWarning) as caught:
-            api.run_study  # noqa: B018
-        assert "repro.api.study.run_study" in str(caught[0].message)
+    def test_error_names_the_namespaced_home(self):
+        for alias in PINNED_ALIASES:
+            facet, attribute = PINNED_ALIASES[alias]
+            with pytest.raises(AttributeError) as excinfo:
+                getattr(api, alias)
+            suggests = f"{facet}.{attribute}" in str(excinfo.value)
+            assert suggests == (alias in SUGGESTS_HOME), alias
 
     def test_aliases_are_not_module_globals(self):
-        """Flat names resolve only through ``__getattr__`` -- a module
-        global would silently bypass the deprecation path."""
         for alias in PINNED_ALIASES:
             assert alias not in vars(api), alias
 
@@ -231,9 +257,7 @@ class TestComponentReExports:
 class TestErrorPath:
     def test_dir_covers_the_whole_surface(self):
         names = dir(api)
-        for name in (
-            PINNED_ALL + PINNED_COMPONENTS + sorted(PINNED_ALIASES)
-        ):
+        for name in PINNED_ALL + PINNED_COMPONENTS:
             assert name in names
 
     def test_unknown_attribute_raises(self):
@@ -253,14 +277,31 @@ class TestErrorPath:
         assert "did you mean" not in str(excinfo.value)
 
 
+def _facade_references(path: Path) -> list[str]:
+    """``api.<name>`` and ``api.<facet>.<member>`` uses plus
+    ``from repro.api import <name>`` names in one file."""
+    refs = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "repro.api":
+            refs.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id == "api":
+                refs.append(node.attr)
+            elif (
+                isinstance(owner, ast.Attribute)
+                and isinstance(owner.value, ast.Name)
+                and owner.value.id == "api"
+            ):
+                refs.append(f"{owner.attr}.{node.attr}")
+    return refs
+
+
 class TestBenchmarkDiscipline:
     def test_benchmarks_only_import_the_facade(self):
         """The micro-benches ride on the facade: no ``repro.*`` internals
         (the RPR012 lint rule enforces the pool side of this)."""
-        from pathlib import Path
-        import re
-
-        bench_dir = Path(__file__).resolve().parent.parent / "benchmarks"
+        bench_dir = ROOT / "benchmarks"
         pattern = re.compile(
             r"^\s*(?:from|import)\s+(repro[.\w]*)", re.MULTILINE
         )
@@ -272,18 +313,17 @@ class TestBenchmarkDiscipline:
                 )
 
     def test_benchmarks_never_use_flat_aliases(self):
-        """Benchmarks are first-class facade clients: they use the 2.0
-        namespaced form, never a deprecated flat alias (RPR016 enforces
-        the same for ``src/`` and ``tests/``)."""
-        from pathlib import Path
-        import re
-
-        bench_dir = Path(__file__).resolve().parent.parent / "benchmarks"
-        flat = re.compile(
-            r"\bapi\.(" + "|".join(sorted(PINNED_ALIASES)) + r")\b"
-        )
-        for path in sorted(bench_dir.glob("*.py")):
-            match = flat.search(path.read_text())
-            assert match is None, (
-                f"{path.name} uses deprecated flat alias api.{match.group(1)}"
-            )
+        """Every facade name the benchmarks and scripts use resolves on
+        the 3.0 facade, so none of them still spells a removed 1.x flat
+        alias."""
+        paths = [
+            *sorted((ROOT / "benchmarks").glob("*.py")),
+            *sorted((ROOT / "scripts").glob("*.py")),
+        ]
+        refs = [(path, ref) for path in paths for ref in _facade_references(path)]
+        assert refs
+        for path, ref in refs:
+            head, _, member = ref.partition(".")
+            assert hasattr(api, head), f"{path.name}: api.{ref}"
+            if member and head in PINNED_FACETS:
+                assert hasattr(getattr(api, head), member), f"{path.name}: api.{ref}"

@@ -8,8 +8,11 @@ encodings.
 
 The encoder fast paths are guarded here too: a certificate's cached DER
 (and the accessors derived from it) must equal a fresh encode and never
-be shared with a modified copy, and the memoised ``encode_oid`` must stay
-byte-identical to an unmemoised encoder.
+be shared with a modified copy, an OCSP response's cached size must
+equal the length of a fresh encode, the memoised ``encode_oid`` must
+stay byte-identical to an unmemoised encoder, and the sliced
+UTCTime/GeneralizedTime decoder must accept nothing its ``strptime``
+predecessor rejected.
 """
 
 from __future__ import annotations
@@ -21,13 +24,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.asn1.der import Asn1Error, decode_all, encode_oid
+from repro.asn1.der import (
+    Asn1Error,
+    DecodedValue,
+    Tag,
+    decode_all,
+    encode_generalized_time,
+    encode_oid,
+    encode_utc_time,
+)
 from repro.asn1.oid import OID
 from repro.pki.certificate import Certificate, CertificateBuilder
 from repro.pki.keys import KeyPair
 from repro.pki.name import Name
 from repro.revocation.crl import CertificateRevocationList, RevokedEntry
 from repro.revocation.ocsp import CertStatus, OcspResponse
+from repro.revocation.reason import ReasonCode
 
 UTC = datetime.timezone.utc
 NB = datetime.datetime(2014, 1, 1, tzinfo=UTC)
@@ -265,3 +277,101 @@ class TestEncodeOidMemo:
         for _ in range(2):  # failures are never cached as answers
             with pytest.raises(Asn1Error):
                 encode_oid(dotted)
+
+
+@st.composite
+def ocsp_responses(draw) -> OcspResponse:
+    status = draw(st.sampled_from(CertStatus))
+    this_update = NB + datetime.timedelta(seconds=draw(st.integers(0, 10**8)))
+    revoked = status is CertStatus.REVOKED
+    return OcspResponse.build(
+        responder_keys=_KEYS,
+        cert_status=status,
+        issuer_key_hash=draw(st.binary(min_size=1, max_size=32)),
+        serial_number=draw(st.integers(0, 2**160)),
+        this_update=this_update,
+        next_update=this_update + datetime.timedelta(days=draw(st.integers(1, 30))),
+        revocation_time=this_update if revoked else None,
+        revocation_reason=(
+            draw(st.sampled_from(ReasonCode)) if revoked and draw(st.booleans()) else None
+        ),
+    )
+
+
+class TestOcspResponseSize:
+    @given(ocsp_responses())
+    @settings(max_examples=60, deadline=None)
+    def test_cached_size_equals_fresh_encode(self, response):
+        fresh = dataclasses.replace(response)
+        assert "_der" not in vars(fresh)  # a new instance starts uncached
+        assert response.encoded_size == len(response.to_der()) == len(fresh.to_der())
+
+    @given(ocsp_responses())
+    @settings(max_examples=60, deadline=None)
+    def test_decoded_response_keeps_its_bytes(self, response):
+        wire = response.to_der()
+        parsed = OcspResponse.from_der(wire)
+        assert vars(parsed)["_der"] == wire  # sized without a re-encode
+        assert parsed.encoded_size == len(parsed.to_der())
+        assert dataclasses.replace(parsed).to_der() == wire
+
+
+def _strptime_time(tag: int, text: bytes) -> datetime.datetime:
+    """The ``datetime.strptime`` decoder ``as_datetime`` replaced, kept
+    as its oracle (RFC 5280 two-digit-year pivot at 50)."""
+    decoded = text.decode("ascii")
+    if tag == Tag.UTC_TIME:
+        two_digit = int(decoded[:2])
+        century = 2000 if two_digit < 50 else 1900
+        decoded = f"{century + two_digit:04d}{decoded[2:]}"
+    return datetime.datetime.strptime(decoded, "%Y%m%d%H%M%SZ").replace(tzinfo=UTC)
+
+
+_UTC_RANGE = st.datetimes(datetime.datetime(1950, 1, 1), datetime.datetime(2049, 12, 31, 23, 59, 59))
+_TIME_TAGS = st.sampled_from([Tag.UTC_TIME, Tag.GENERALIZED_TIME])
+
+
+@st.composite
+def _time_texts(draw) -> tuple[int, bytes]:
+    """Encoded times, single-character mutations of them, and arbitrary
+    near-length strings over digits, ``Z`` and the characters ``int``
+    or ``strptime`` might tolerate."""
+    tag = draw(_TIME_TAGS)
+    when = draw(_UTC_RANGE if tag == Tag.UTC_TIME else st.datetimes())
+    encode = encode_utc_time if tag == Tag.UTC_TIME else encode_generalized_time
+    text = encode(when)[2:]
+    kind = draw(st.sampled_from(["valid", "mutated", "arbitrary"]))
+    if kind == "mutated":
+        index = draw(st.integers(0, len(text) - 1))
+        char = draw(st.sampled_from(b"0123456789Zz +-_.\x00\xff"))
+        text = text[:index] + bytes([char]) + text[index + 1 :]
+    elif kind == "arbitrary":
+        text = draw(st.binary(min_size=0, max_size=17) | st.text("0123456789Zz +-", max_size=17).map(str.encode))
+    return tag, text
+
+
+class TestTimeDecoding:
+    @given(_TIME_TAGS, _UTC_RANGE)
+    @settings(max_examples=200)
+    def test_encoded_times_round_trip(self, tag, when):
+        when = when.replace(microsecond=0, tzinfo=UTC)
+        encode = encode_utc_time if tag == Tag.UTC_TIME else encode_generalized_time
+        text = encode(when)[2:]
+        assert DecodedValue(tag, text).as_datetime() == when == _strptime_time(tag, text)
+
+    @given(_time_texts())
+    @settings(max_examples=400)
+    def test_accepts_nothing_strptime_rejects(self, case):
+        tag, text = case
+        try:
+            expected = _strptime_time(tag, text)
+        except ValueError:  # UnicodeDecodeError included
+            expected = None
+        try:
+            got = DecodedValue(tag, text).as_datetime()
+        except Asn1Error:
+            got = None
+        if expected is None:
+            assert got is None, (tag, text)
+        elif got is not None:
+            assert got == expected, (tag, text)
