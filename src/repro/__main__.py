@@ -9,7 +9,7 @@ Usage::
     python -m repro analyze [args...]          # static-analysis gate
     python -m repro trace trace.jsonl          # roll up a recorded trace
     python -m repro trace --diff A B [--check] # structural span-diff
-    python -m repro corpus build DIR --shards 4  # persist the corpus store
+    python -m repro corpus build DIR           # persist the corpus store
     python -m repro corpus inspect FILE        # one store's meta
     python -m repro corpus stat DIR            # list stores in a directory
     python -m repro corpus verify FILE         # integrity-check a store
@@ -241,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     build = corpus_sub.add_parser(
         "build",
         parents=[_calibration_parent(), _exec_parent()],
-        help="generate the ecosystem (sharded) and persist it as a store",
+        help="generate the ecosystem and persist it as a store",
     )
     build.add_argument("directory", help="store directory (created if missing)")
     build.add_argument(
@@ -249,14 +249,16 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="K",
-        help="generate across K brand shards (bytes identical for any K)",
+        help="split a worker/supervised build into K brand shards "
+        "(bytes identical for any K)",
     )
     build.add_argument(
         "--workers",
         type=int,
         default=None,
         metavar="N",
-        help="generate shards across N worker processes",
+        help="build shards in N supervised worker processes "
+        "(journaled, resumable with --resume)",
     )
     build.add_argument(
         "--force",

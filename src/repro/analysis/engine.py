@@ -29,7 +29,8 @@ __all__ = ["FileContext", "Rule", "analyze_source", "analyze_file"]
 #: added, findings carry autofix suggestions.
 #: "4": RPR015 (mechanism construction goes through the registry).
 #: "6": the flat-facade-alias rule retired with the aliases it guarded.
-ENGINE_VERSION = "6"
+#: "7": the RPR012 fix hint names only the Supervisor.
+ENGINE_VERSION = "7"
 
 _NOQA = re.compile(r"#\s*repro:\s*noqa(?:\s+(?P<rules>[A-Z0-9, ]+))?")
 

@@ -747,9 +747,8 @@ class PoolOutsideExecRule(Rule):
             node,
             self.code,
             f"direct {short} construction: route fan-out through "
-            "repro.exec (pool_map / run_pool, or Supervisor for crash "
-            "recovery) so every pool gets deadlines, retries, and "
-            "checkpoint support",
+            "repro.exec.Supervisor so every pool gets deadlines, "
+            "retries, and checkpoint support",
         )
 
 

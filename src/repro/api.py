@@ -213,7 +213,6 @@ def _run_study(
     cache_dir: str | Path | None = None,
     parallel: int | None = None,
     trace: bool = False,
-    isolate_errors: bool = True,
     supervise: bool = False,
     resume: bool = False,
     checkpoint_dir: str | Path | None = None,
@@ -225,9 +224,9 @@ def _run_study(
 
     ``trace=True`` attaches an enabled tracer/metrics registry; write
     the result with :meth:`study.StudyRun.write_trace`.  ``"all"`` isolates
-    per-experiment crashes into failure records (``isolate_errors``);
-    a single named experiment propagates exceptions, and an unknown id
-    raises ``KeyError``.  ``mechanism`` restricts every
+    per-experiment crashes into failure records; a single named
+    experiment propagates exceptions, and an unknown id raises
+    ``KeyError``.  ``mechanism`` restricts every
     revocation-mechanism sweep to one registered name (the CLI's
     ``run --mechanism``); an unknown name raises ``KeyError``.
 
@@ -264,7 +263,7 @@ def _run_study(
             resume=resume,
         )
     elif experiment == "all":
-        results = run_all(built, parallel=parallel, isolate_errors=isolate_errors)
+        results = run_all(built, parallel=parallel)
     else:
         results = [run_experiment(experiment, built)]
     return _StudyRun(study=built, results=results)
@@ -279,15 +278,11 @@ def _new_study(
     fault_profile: str | None = None,
     fault_seed: int | None = None,
     trace: bool = False,
-    shards: int = 1,
-    gen_workers: int | None = None,
 ) -> MeasurementStudy:
     """Build a :class:`MeasurementStudy` without running anything.
 
     The supported way for scripts and benchmarks to get a study handle
     (substrate, scans, crawler, ...) without importing ``repro.core``.
-    ``shards``/``gen_workers`` control sharded substrate generation; the
-    corpus bytes are identical for any shard/worker count.
     """
     return MeasurementStudy(
         scale=scale,
@@ -297,15 +292,12 @@ def _new_study(
         fault_profile=fault_profile,
         fault_seed=fault_seed,
         obs=Observability(enabled=True) if trace else None,
-        shards=shards,
-        gen_workers=gen_workers,
     )
 
 
 def _run_experiments(
     study: MeasurementStudy,
     parallel: int | None = None,
-    isolate_errors: bool = True,
 ) -> list[ExperimentResult]:
     """Run every experiment against an existing study.
 
@@ -313,7 +305,7 @@ def _run_experiments(
     warm corpus store, when it has a ``cache_dir``), which is what the
     scaling benchmark times.
     """
-    return run_all(study, parallel=parallel, isolate_errors=isolate_errors)
+    return run_all(study, parallel=parallel)
 
 
 def _golden_digests(
@@ -382,16 +374,17 @@ def _build_corpus(
     exec_fault_profile: str | None = None,
     exec_fault_seed: int | None = None,
 ) -> dict:
-    """Generate the ecosystem (sharded) and persist it as a corpus store.
+    """Generate the ecosystem and persist it as a corpus store.
 
     Returns the store's :func:`corpus.info` plus a ``rebuilt`` flag.  An
     existing readable store for the same calibration is reused unless
-    ``force``; sharding/worker count never changes the stored bytes.
+    ``force``; shard/worker count never changes the stored bytes.
 
-    ``supervise=True`` builds each shard under the supervised execution
-    layer with per-shard checkpoints (docs/ROBUSTNESS.md); an
-    interrupted build resumed with ``resume=True`` produces a
-    byte-identical store.  Raises
+    Without ``workers > 1``, ``supervise`` or ``resume`` the ecosystem
+    is generated in-process.  Otherwise each of ``max(shards, workers)``
+    shards builds under the supervised execution layer with per-shard
+    checkpoints (docs/ROBUSTNESS.md); an interrupted build resumed with
+    ``resume=True`` produces a byte-identical store.  Raises
     :class:`repro.exec.supervisor.RunInterrupted` on an injected ABORT.
     """
     from repro.scan.calibration import Calibration
@@ -399,7 +392,7 @@ def _build_corpus(
     from repro.scan.ecosystem import Ecosystem
 
     calibration = calibration or Calibration(scale=scale, seed=seed)
-    if supervise or resume:
+    if supervise or resume or (workers or 1) > 1:
         from repro.exec.corpusbuild import build_corpus_supervised
         from repro.exec.faults import plan_from_exec_profile
         from repro.exec.supervisor import SupervisorConfig
@@ -434,7 +427,7 @@ def _build_corpus(
             info = None  # unreadable store: rebuild it below
         if info is not None:
             return {**info, "rebuilt": False}
-    ecosystem = Ecosystem(calibration, shards=shards, workers=workers)
+    ecosystem = Ecosystem(calibration)
     cache.store_ecosystem(calibration, ecosystem)
     return {**_corpus_info(path), "rebuilt": True}
 

@@ -45,8 +45,9 @@ class MeasurementStudy:
     ``cache_dir`` opts into the on-disk corpus store: the generated
     ecosystem is persisted keyed on the calibration digest, so repeated
     runs with the same scale/seed/calibration load out-of-core instead of
-    regenerating.  ``shards``/``gen_workers`` control sharded substrate
-    generation (corpus bytes are identical for any shard/worker count).
+    regenerating.  Generation runs in-process; a parallel, checkpointed
+    build is ``repro.api.corpus.build(..., workers=N)`` into the same
+    ``cache_dir``.
     """
 
     def __init__(
@@ -58,8 +59,6 @@ class MeasurementStudy:
         fault_profile: str | None = None,
         fault_seed: int | None = None,
         obs: Observability | None = None,
-        shards: int = 1,
-        gen_workers: int | None = None,
         exec_fault_profile: str | None = None,
         exec_fault_seed: int | None = None,
         mechanisms: tuple[str, ...] | list[str] | None = None,
@@ -67,8 +66,6 @@ class MeasurementStudy:
         self.calibration = calibration or Calibration(scale=scale, seed=seed)
         self.targets: PaperTargets = self.calibration.targets
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.shards = shards
-        self.gen_workers = gen_workers
         # Observability (docs/OBSERVABILITY.md).  Defaults to the shared
         # disabled instance unless REPRO_TRACE is set; like fault settings
         # it never enters the calibration digest -- tracing must not change
@@ -113,9 +110,7 @@ class MeasurementStudy:
 
     @cached_property
     def ecosystem(self) -> Ecosystem:
-        with self.obs.tracer.span(
-            "substrate.ecosystem", shards=self.shards
-        ) as span:
+        with self.obs.tracer.span("substrate.ecosystem") as span:
             if self.cache_dir is not None:
                 from repro.scan.datastore import ArtifactCache
 
@@ -124,18 +119,12 @@ class MeasurementStudy:
                 if cached is not None:
                     span.set("source", "store")
                     return cached
-                ecosystem = Ecosystem(
-                    self.calibration,
-                    shards=self.shards,
-                    workers=self.gen_workers,
-                )
+                ecosystem = Ecosystem(self.calibration)
                 cache.store_ecosystem(self.calibration, ecosystem)
                 span.set("source", "generated")
                 return ecosystem
             span.set("source", "generated")
-            return Ecosystem(
-                self.calibration, shards=self.shards, workers=self.gen_workers
-            )
+            return Ecosystem(self.calibration)
 
     @cached_property
     def crawl_index(self) -> CrawlIndex:

@@ -1,8 +1,10 @@
 """Supervised execution layer (docs/ROBUSTNESS.md).
 
-``repro.exec`` is the one home for process management in this codebase:
-every worker pool, supervised run, and checkpointed build goes through
-it.  The static-analysis rule RPR012 enforces that -- direct
+``repro.exec`` is the one home for process management in this codebase,
+and :class:`Supervisor` is the one way it starts worker processes: the
+parallel experiment sweep (``run_all(parallel=N)`` and its checkpointed
+sibling ``run_supervised``) and the sharded corpus build both fan out
+through it.  The static-analysis rule RPR012 enforces that -- direct
 ``multiprocessing`` / ``concurrent.futures`` pool construction anywhere
 else is a lint finding -- so process-level robustness (deadline
 watchdogs, seeded-backoff retries, respawn budgets, checkpoint/resume,
@@ -11,8 +13,6 @@ call sites.
 
 Layers:
 
-- :mod:`repro.exec.pool` -- the plain, unsupervised pool primitive
-  (order-preserving map over worker processes).
 - :mod:`repro.exec.supervisor` -- :class:`Supervisor`: per-task deadline
   watchdog, seeded-backoff retries, bounded worker respawns, graceful
   degradation to in-process execution, structured
@@ -43,7 +43,6 @@ from repro.exec.faults import (
     ExecFaultSpec,
     plan_from_exec_profile,
 )
-from repro.exec.pool import pool_map, run_pool
 from repro.exec.supervisor import (
     FailureRecord,
     RunInterrupted,
@@ -64,6 +63,4 @@ __all__ = [
     "Supervisor",
     "SupervisorConfig",
     "plan_from_exec_profile",
-    "pool_map",
-    "run_pool",
 ]

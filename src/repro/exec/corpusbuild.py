@@ -1,7 +1,8 @@
 """Supervised, checkpointed corpus builds.
 
-:func:`build_corpus_supervised` is the robust sibling of
-``repro.api.corpus.build``: each generation shard runs under the
+:func:`build_corpus_supervised` is the one parallel corpus build
+(``repro.api.corpus.build`` calls it for ``workers > 1``, ``supervise``
+or ``resume``): each generation shard runs under the
 :class:`~repro.exec.supervisor.Supervisor` (deadlines, retries, respawn,
 degradation), and every completed shard's columnar parts are checkpointed
 to disk -- an ``.npz`` parts file plus a journal line carrying its

@@ -1,23 +1,25 @@
 """Run every experiment and render the paper-vs-measured report.
 
-``run_all(parallel=N)`` fans the experiments out across a process pool.
-Each worker builds its own :class:`MeasurementStudy` from the same
-calibration (the substrate is deterministic for a fixed calibration, and
-the one stateful RNG -- the stapling scanner's -- is seeded per study and
-consumed by a single experiment), so the results are identical to the
-sequential path regardless of worker count; a test enforces this.
+``run_all(parallel=N)`` fans the experiments out across N worker
+processes under the :class:`repro.exec.supervisor.Supervisor` (the one
+way this codebase starts workers).  Each worker builds its own
+:class:`MeasurementStudy` from the same calibration (the substrate is
+deterministic for a fixed calibration, and the one stateful RNG -- the
+stapling scanner's -- is seeded per study and consumed by a single
+experiment), so the results are identical to the sequential path
+regardless of worker count; a test enforces this.
 
 Experiments are error-isolated: a crash in one figure is captured into a
 structured failure record (:func:`repro.experiments.common.failure_result`)
-and the remaining experiments still run.  Pass ``isolate_errors=False``
-to re-raise instead (useful under a debugger).
+and the remaining experiments still run.  To debug a crash with its
+traceback intact, run the one experiment with :func:`run_experiment`,
+which propagates exceptions.
 
-``supervise=True`` additionally runs the fan-out under the
-:class:`repro.exec.supervisor.Supervisor` (crash recovery, deadlines,
-retries, degradation) and checkpoints every completed experiment leg to
-a journal, so an interrupted run resumes (``resume=True``) instead of
-restarting -- and, because each leg is deterministic for its
-calibration, produces the identical report (docs/ROBUSTNESS.md).
+:func:`run_supervised` is the same fan-out plus a checkpoint journal of
+every completed experiment leg and the study's exec-fault plan, so an
+interrupted run resumes (``resume=True``) instead of restarting -- and,
+because each leg is deterministic for its calibration, produces the
+identical report (docs/ROBUSTNESS.md).
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ def _run_isolated(experiment_id: str, study: MeasurementStudy) -> ExperimentResu
         return result
 
 
-# Per-worker study, built once by the pool initializer.  Each worker pays
+# Per-worker study, built once by the worker initializer.  Each worker pays
 # for the substrate once and then serves any number of experiments.
 _WORKER_STUDY: MeasurementStudy | None = None
 
@@ -151,7 +153,7 @@ def _run_in_worker(
     with its mutation count -- the parent keeps the highest-count export
     per worker, which is that worker's complete contribution.
     """
-    assert _WORKER_STUDY is not None, "pool initializer did not run"
+    assert _WORKER_STUDY is not None, "worker initializer did not run"
     obs = _WORKER_STUDY.obs
     if not obs.enabled:
         return _run_isolated(experiment_id, _WORKER_STUDY), None, None, 0, 0
@@ -222,6 +224,63 @@ def _run_key(study: MeasurementStudy) -> str:
     )
 
 
+def _worker_count(parallel: int | None) -> int:
+    """Fleet size for ``parallel=N``: 1 means run in-process."""
+    if parallel is None or parallel <= 1:
+        return 1
+    return min(parallel, len(ALL_EXPERIMENTS), os.cpu_count() or 1)
+
+
+def _fan_out(
+    study: MeasurementStudy,
+    tasks: list[tuple[str, str]],
+    config,
+    faults=None,
+    **run_kwargs,
+):
+    """Run experiment ``tasks`` under the supervisor; returns its outcome.
+
+    The one fan-out path behind :func:`run_all` and
+    :func:`run_supervised`: warms the corpus store before spawning
+    workers, and folds the workers' trace segments into the study's obs.
+    ``run_kwargs`` pass straight to :meth:`Supervisor.run` (the
+    checkpoint hooks).
+    """
+    from repro.exec.supervisor import Supervisor
+
+    cache_dir = _prewarm_store(study) if config.workers > 1 else None
+    obs = study.obs
+    supervisor = Supervisor(config, obs=obs, faults=faults)
+
+    def local_fn(eid: str) -> tuple:
+        # Degradation/serial path: run in the parent against the parent
+        # study (deterministic, so identical to a worker's answer).
+        return _run_isolated(eid, study), None, None, 0, 0
+
+    outcome = supervisor.run(
+        tasks,
+        _run_in_worker,
+        initializer=_init_worker,
+        initargs=(
+            study.calibration,
+            cache_dir,
+            study.fault_profile,
+            study.fault_seed,
+            obs.enabled,
+        ),
+        local_fn=local_fn,
+        **run_kwargs,
+    )
+    if obs.enabled:
+        live = [
+            outcome.results[eid]
+            for eid in ALL_EXPERIMENTS
+            if eid in outcome.results
+        ]
+        _merge_worker_traces(obs, live)
+    return outcome
+
+
 def run_supervised(
     study: MeasurementStudy | None = None,
     parallel: int | None = None,
@@ -230,7 +289,7 @@ def run_supervised(
     resume: bool = False,
     config=None,
 ) -> list[ExperimentResult]:
-    """``run_all`` under the supervisor, with checkpoint/resume.
+    """``run_all`` with checkpoint/resume and exec-fault injection.
 
     Every completed experiment leg is journaled (atomic JSONL keyed on
     the calibration + network-fault digest); ``resume=True`` replays
@@ -245,14 +304,9 @@ def run_supervised(
         unpickle_payload,
     )
     from repro.exec.faults import plan_from_exec_profile
-    from repro.exec.supervisor import (
-        RunInterrupted,
-        Supervisor,
-        SupervisorConfig,
-    )
+    from repro.exec.supervisor import RunInterrupted, SupervisorConfig
 
     study = study or MeasurementStudy()
-    order = list(ALL_EXPERIMENTS)
     run_key = _run_key(study)
     directory = Path(checkpoint_dir or ".repro-checkpoints")
     journal_name = hashlib.sha256(run_key.encode()).hexdigest()[:12]
@@ -263,7 +317,7 @@ def run_supervised(
     obs = study.obs
     checkpointed: dict[str, ExperimentResult] = {}
     remaining: list[tuple[str, str]] = []
-    for eid in order:
+    for eid in ALL_EXPERIMENTS:
         payload = journal.get(eid) if resume else None
         result = None
         if payload is not None:
@@ -284,42 +338,17 @@ def run_supervised(
             if obs.enabled and resume:
                 obs.metrics.counter("exec.checkpoint.misses").inc()
 
-    faults = plan_from_exec_profile(
-        study.exec_fault_profile, study.exec_fault_seed
-    )
-
     def on_complete(eid: str, output: tuple) -> None:
         journal.record(eid, pickle_payload(output[0]))
 
-    def local_fn(eid: str) -> tuple:
-        # Degradation/serial path: run in the parent against the parent
-        # study (deterministic, so identical to a worker's answer).
-        return _run_isolated(eid, study), None, None, 0, 0
-
-    workers = (
-        1
-        if parallel is None or parallel <= 1
-        else min(parallel, len(order), os.cpu_count() or 1)
-    )
-    cache_dir = _prewarm_store(study) if workers > 1 else None
-    supervisor = Supervisor(
-        config or SupervisorConfig(workers=workers),
-        obs=obs,
-        faults=faults,
-    )
     try:
-        outcome = supervisor.run(
+        outcome = _fan_out(
+            study,
             remaining,
-            _run_in_worker,
-            initializer=_init_worker,
-            initargs=(
-                study.calibration,
-                cache_dir,
-                study.fault_profile,
-                study.fault_seed,
-                obs.enabled,
+            config or SupervisorConfig(workers=_worker_count(parallel)),
+            faults=plan_from_exec_profile(
+                study.exec_fault_profile, study.exec_fault_seed
             ),
-            local_fn=local_fn,
             on_complete=on_complete,
             completed_before=len(checkpointed),
             allow_abort=not (resume or journal.aborted),
@@ -327,58 +356,35 @@ def run_supervised(
     except RunInterrupted:
         journal.mark_aborted()
         raise
-
-    if obs.enabled:
-        live = [outcome.results[eid] for eid in order if eid in outcome.results]
-        _merge_worker_traces(obs, live)
     return [
         checkpointed[eid] if eid in checkpointed else outcome.results[eid][0]
-        for eid in order
+        for eid in ALL_EXPERIMENTS
     ]
 
 
 def run_all(
     study: MeasurementStudy | None = None,
     parallel: int | None = None,
-    isolate_errors: bool = True,
 ) -> list[ExperimentResult]:
-    """Run every experiment, in declaration order.
+    """Run every experiment, in declaration order, each error-isolated.
 
-    ``parallel=N`` (N >= 2) uses a process pool of N workers.  When the
-    study has a ``cache_dir`` the workers share its artifact cache, so
-    the ecosystem is generated at most once across the pool.  For crash
-    recovery and checkpoint/resume, see :func:`run_supervised`.
+    ``parallel=N`` (N >= 2) runs the experiments on N supervised worker
+    processes, with no per-task deadline (a long leg is never killed).
+    When the study has a ``cache_dir`` the workers share its artifact
+    cache, so the ecosystem is generated at most once across the fleet.
+    For checkpoint/resume, see :func:`run_supervised`.
     """
-    from repro.exec.pool import pool_map
+    from repro.exec.supervisor import SupervisorConfig
 
     study = study or MeasurementStudy()
-    order = list(ALL_EXPERIMENTS)
     if parallel is None or parallel <= 1:
-        if isolate_errors:
-            return [_run_isolated(eid, study) for eid in order]
-        return [_run_raw(eid, study) for eid in order]
-
-    workers = min(parallel, len(order), os.cpu_count() or 1)
-    cache_dir = _prewarm_store(study)
-    # pool_map preserves submission order, so results come back in the
-    # same order the sequential path produces them.
-    outputs = pool_map(
-        _run_in_worker,
-        order,
-        workers=workers,
-        initializer=_init_worker,
-        initargs=(
-            study.calibration,
-            cache_dir,
-            study.fault_profile,
-            study.fault_seed,
-            study.obs.enabled,
-        ),
+        return [_run_isolated(eid, study) for eid in ALL_EXPERIMENTS]
+    outcome = _fan_out(
+        study,
+        [(eid, eid) for eid in ALL_EXPERIMENTS],
+        SupervisorConfig(workers=_worker_count(parallel), task_timeout=None),
     )
-    results = [output[0] for output in outputs]
-    if study.obs.enabled:
-        _merge_worker_traces(study.obs, outputs)
-    return results
+    return [outcome.results[eid][0] for eid in ALL_EXPERIMENTS]
 
 
 def main() -> None:  # pragma: no cover - CLI convenience

@@ -1,9 +1,5 @@
 """RPR012 negative: fan-out routed through the execution layer."""
-from repro.exec import Supervisor, SupervisorConfig, pool_map
-
-
-def fan_out(fn, items):
-    return pool_map(fn, items, workers=4)
+from repro.exec import Supervisor, SupervisorConfig
 
 
 def fan_out_supervised(tasks, fn):

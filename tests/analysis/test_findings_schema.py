@@ -37,7 +37,7 @@ GOLDEN = {
         "findings": 1,
         "new": 1,
     },
-    "engine_version": "6",
+    "engine_version": "7",
     "findings": [
         {
             "col": 27,

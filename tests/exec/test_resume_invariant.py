@@ -85,7 +85,9 @@ class TestRunAllInvariant:
         nothing else): calibration + network faults, never exec faults."""
         from repro.experiments.runner import _run_key
 
-        base = _run_key(_study(cache_dir))
+        # Explicit "none": under the CI fault matrix the default profile
+        # comes from REPRO_FAULT_PROFILE and may itself be "chaos".
+        base = _run_key(_study(cache_dir, fault_profile="none"))
         other_seed = MeasurementStudy(
             calibration=Calibration(scale=SCALE, seed=SEED + 1)
         )
@@ -95,6 +97,7 @@ class TestRunAllInvariant:
         )
         exec_faults = _study(
             cache_dir,
+            fault_profile="none",
             exec_fault_profile="kill-worker",
             exec_fault_seed=KILL_SEED,
         )

@@ -49,13 +49,15 @@ class TestErrorIsolation:
         others = [r for r in results if r.experiment_id != "fig3"]
         assert all(r.ok for r in others)
 
-    def test_isolation_can_be_disabled(self, small_study, monkeypatch):
+    def test_run_experiment_propagates_the_crash(self, small_study, monkeypatch):
+        # The fail-fast path: one named experiment re-raises, traceback
+        # intact, instead of returning a failure record.
         def boom(_study):
             raise RuntimeError("injected crash")
 
         monkeypatch.setattr(ALL_EXPERIMENTS["section3"], "run", boom)
-        with pytest.raises(RuntimeError):
-            run_all(small_study, isolate_errors=False)
+        with pytest.raises(RuntimeError, match="injected crash"):
+            run_experiment("section3", small_study)
 
     def test_failure_result_shape(self):
         record = failure_result("figX", "Title", ValueError("nope"))

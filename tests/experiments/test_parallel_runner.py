@@ -4,11 +4,13 @@ and the artifact cache must round-trip ecosystems keyed on calibration."""
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
 from repro.core.pipeline import MeasurementStudy
-from repro.experiments.runner import ALL_EXPERIMENTS, run_all
+from repro.experiments.runner import ALL_EXPERIMENTS, _worker_count, run_all
+from repro.obs import Observability
 from repro.scan.calibration import Calibration
 from repro.scan.datastore import ArtifactCache, calibration_digest
 
@@ -18,8 +20,13 @@ class TestParallelRunner:
         # Both legs start from fresh studies: the stapling scanner's RNG
         # is stateful, so a shared session study that already served
         # other tests would make the sequential leg diverge.
+        # The parallel leg is traced, which also covers folding the
+        # workers' trace segments back into the parent's tracer.
         sequential = run_all(MeasurementStudy(calibration=calibration))
-        parallel = run_all(MeasurementStudy(calibration=calibration), parallel=2)
+        obs = Observability(enabled=True)
+        parallel = run_all(
+            MeasurementStudy(calibration=calibration, obs=obs), parallel=2
+        )
         assert len(sequential) == len(parallel) == len(ALL_EXPERIMENTS)
         for seq, par in zip(sequential, parallel):
             assert seq.experiment_id == par.experiment_id
@@ -27,8 +34,16 @@ class TestParallelRunner:
             assert seq.rendered == par.rendered
             assert seq.comparisons == par.comparisons
 
+        spans = [r for r in obs.tracer.records() if r["name"] == "experiment"]
+        assert sorted(span["attrs"]["experiment"] for span in spans) == sorted(
+            ALL_EXPERIMENTS
+        )
+        if _worker_count(2) > 1:  # a one-CPU host runs the leg in-process
+            for span in spans:
+                assert re.fullmatch(r"w\d+", span["attrs"]["worker"])
+
     def test_parallel_one_falls_back_to_sequential(self, study):
-        # parallel=1 must not pay process-pool overhead.
+        # parallel=1 must not pay worker-process overhead.
         results = run_all(study, parallel=1)
         assert [r.experiment_id for r in results] == list(ALL_EXPERIMENTS)
 

@@ -29,7 +29,7 @@ def calibration() -> Calibration:
 
 @pytest.fixture(scope="module")
 def generated(calibration) -> Ecosystem:
-    return Ecosystem(calibration, shards=2)
+    return Ecosystem(calibration)
 
 
 @pytest.fixture(scope="module")

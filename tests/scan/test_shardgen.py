@@ -3,9 +3,12 @@
 The contract (docs/PERFORMANCE.md): partitioning brands into shards is a
 scheduling decision, never a semantic one.  For a fixed calibration the
 corpus -- every leaf, CRL entry, serial, and Alexa rank -- is
-byte-identical whether it was built with 1, 2, or 4 shards, in-process
-or across worker processes.  :func:`repro.scan.corpus.corpus_digest`
-hashes every column, so digest equality is corpus equality.
+byte-identical whether it was generated in one in-process pass or
+assembled from ``plan_shards`` groups (:meth:`Ecosystem.from_parts`),
+whether those groups were built here or by supervised worker processes
+(:func:`repro.exec.corpusbuild.build_corpus_supervised`).
+:func:`repro.scan.corpus.corpus_digest` hashes every column, so digest
+equality is corpus equality.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ca.profiles import PAPER_CA_PROFILES
+from repro.exec.corpusbuild import build_corpus_supervised
+from repro.exec.supervisor import SupervisorConfig
 from repro.scan import shardgen
 from repro.scan.calibration import Calibration
 from repro.scan.corpus import corpus_digest, encode_corpus
@@ -28,6 +33,15 @@ def _digest(ecosystem: Ecosystem) -> str:
     return corpus_digest(arrays)
 
 
+def _sharded(calibration: Calibration, shards: int) -> Ecosystem:
+    """The sharded build, in-process: plan, build each group's parts,
+    merge -- what the supervised corpus build's workers do."""
+    parts: dict[str, dict] = {}
+    for group in shardgen.plan_shards(calibration, PAPER_CA_PROFILES, shards):
+        parts.update(shardgen.build_shard_parts(calibration, group))
+    return Ecosystem.from_parts(calibration, parts)
+
+
 @pytest.fixture(scope="module")
 def reference() -> str:
     return _digest(Ecosystem(Calibration(scale=SCALE)))
@@ -36,12 +50,18 @@ def reference() -> str:
 class TestShardInvariance:
     @pytest.mark.parametrize("shards", [2, 4, 13, 64])
     def test_shard_count_never_changes_the_corpus(self, reference, shards):
-        eco = Ecosystem(Calibration(scale=SCALE), shards=shards)
+        eco = _sharded(Calibration(scale=SCALE), shards)
         assert _digest(eco) == reference
 
-    def test_worker_processes_never_change_the_corpus(self, reference):
-        eco = Ecosystem(Calibration(scale=SCALE), shards=4, workers=2)
-        assert _digest(eco) == reference
+    def test_worker_processes_never_change_the_corpus(self, reference, tmp_path):
+        info = build_corpus_supervised(
+            tmp_path,
+            calibration=Calibration(scale=SCALE),
+            shards=4,
+            config=SupervisorConfig(workers=2),
+        )
+        assert info["built_shards"] == 4
+        assert info["corpus_digest"] == reference
 
     def test_different_seed_changes_the_corpus(self, reference):
         eco = Ecosystem(Calibration(scale=SCALE, seed=7))
@@ -54,7 +74,7 @@ class TestShardInvariance:
     )
     def test_property_shards_invariant_per_seed(self, seed, shards):
         cal = Calibration(scale=SCALE, seed=seed)
-        assert _digest(Ecosystem(cal, shards=shards)) == _digest(Ecosystem(cal))
+        assert _digest(_sharded(cal, shards)) == _digest(Ecosystem(cal))
 
 
 class TestShardPlan:
@@ -82,7 +102,7 @@ class TestShardPlan:
 
 class TestLayoutInvariants:
     def test_cert_ids_are_positional(self):
-        eco = Ecosystem(Calibration(scale=SCALE), shards=4)
+        eco = _sharded(Calibration(scale=SCALE), 4)
         for i, leaf in enumerate(eco.leaves):
             assert leaf.cert_id == i
 
